@@ -13,7 +13,9 @@ Figures 6-9 accept ``--kernel {cholesky,qr,lu,all}`` and ``--full`` for
 the paper's complete N = 4..64 sweep (slow: the online DualHP
 reassignment is expensive at large N).  The campaign-backed sweeps
 (figures 6-9) also honour ``--jobs N`` (default: all CPU cores;
-``--jobs 1`` is the bit-for-bit serial reference path).
+``--jobs 1`` is the bit-for-bit serial reference path) and share the
+``campaign`` result cache: ``--cache-dir``, ``--no-cache`` and
+``--refresh`` act on them exactly as below.
 
 ``campaign`` drives the sweeps through the cache-backed engine
 (:mod:`repro.campaign`): results are stored content-addressed under
@@ -137,12 +139,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         metavar="DIR",
         default=".repro-cache",
-        help="campaign result cache directory (default: .repro-cache)",
+        help="result cache directory of the campaign and figure sweeps "
+        "(default: .repro-cache)",
     )
     campaign.add_argument(
         "--no-cache",
         action="store_true",
-        help="run the campaign without the on-disk result cache",
+        help="run the campaign or figure sweep without the on-disk result cache",
     )
     campaign.add_argument(
         "--refresh",
@@ -389,9 +392,21 @@ def _run_campaign_spec(args: argparse.Namespace, cache) -> int:
     return 0
 
 
+def _open_cache(args: argparse.Namespace, label: str):
+    """The result cache ``--cache-dir``/``--no-cache``/``--refresh`` select."""
+    from repro.campaign import ResultCache
+
+    if args.no_cache:
+        return None
+    cache = ResultCache(args.cache_dir)
+    if args.refresh:
+        removed = cache.clear()
+        print(f"[{label}] cleared {removed} cached entries", file=sys.stderr)
+    return cache
+
+
 def _run_campaign(args: argparse.Namespace) -> int:
     """The ``repro campaign`` subcommand: cached, parallel figure sweeps."""
-    from repro.campaign import ResultCache
     from repro.experiments.dags import clear_cache
 
     targets = [t for t in args.targets.split(",") if t]
@@ -404,12 +419,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
         )
         return 2
 
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir)
-        if args.refresh:
-            removed = cache.clear()
-            print(f"[campaign] cleared {removed} cached entries", file=sys.stderr)
+    cache = _open_cache(args, "campaign")
     # The in-process sweep memo would mask the cache for repeated panels;
     # campaign runs report true hit/miss counts instead.
     clear_cache()
@@ -582,14 +592,20 @@ def main_dispatch(args: argparse.Namespace) -> int:
 
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+    cache = None
+    if _KERNEL_EXPERIMENTS.intersection(names):
+        cache = _open_cache(args, args.experiment)
     for name in names:
         started = time.perf_counter()
         renders = []
-        for result in _run_one(name, args):
+        for result in _run_one(name, args, cache=cache):
             text = result.render()
             renders.append(text)
             print(text)
             print()
+            stats = result.data.get("campaign_stats")
+            if stats is not None:
+                print(f"[{name}] {stats.summary()}", file=sys.stderr)
         if out_dir is not None:
             (out_dir / f"{name}.txt").write_text("\n\n".join(renders) + "\n")
         elapsed = time.perf_counter() - started

@@ -20,7 +20,9 @@ schemes of Section 6.2 set those priorities).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.bounds.simple import makespan_lower_bound
 from repro.core.platform import Platform, ResourceKind, Worker
@@ -160,13 +162,113 @@ def dualhp_try(
     return schedule
 
 
+def _feasible(
+    lam: float,
+    by_priority: list[tuple[float, float]],
+    by_acceleration: list[tuple[float, float, int]],
+    floor: float,
+    num_cpus: int,
+    num_gpus: int,
+) -> bool:
+    """Whether :func:`dualhp_try` accepts *lam*, from presorted task times.
+
+    *by_priority* holds ``(p, q)`` in ``(-priority, uid)`` order and
+    *by_acceleration* holds ``(p, q, rank)`` in the optional-task order
+    of :func:`dualhp_try`, where ``rank`` indexes *by_priority*.
+    Filtering those two fixed orders by *lam* yields exactly the forced,
+    optional and leftover lists that :func:`dualhp_try` sorts per call.
+    Class loads live in ``(load, slot)`` heaps: the heap minimum is the
+    worker ``_pack_class`` picks (least load, ties to the lowest index)
+    and each load is the same float sum.  *floor* is ``max min(p, q)``:
+    below it some task exceeds *lam* on both classes.
+    """
+    if lam < floor:
+        return False
+    limit = 2.0 * lam
+    cpu = [(0.0, slot) for slot in range(num_cpus)]
+    gpu = [(0.0, slot) for slot in range(num_gpus)]
+    heapreplace = heapq.heapreplace
+    # Forced tasks, priority first; the two classes pack independently.
+    for p, q in by_priority:
+        if p > lam:
+            if not gpu:
+                return False
+            load, slot = gpu[0]
+            if load + q > limit:
+                return False
+            heapreplace(gpu, (load + q, slot))
+        elif q > lam:
+            if not cpu:
+                return False
+            load, slot = cpu[0]
+            if load + p > limit:
+                return False
+            heapreplace(cpu, (load + p, slot))
+    # Optional tasks by acceleration onto the GPUs; the rest overflows.
+    leftover: list[int] = []
+    for p, q, rank in by_acceleration:
+        if p > lam or q > lam:
+            continue
+        if gpu:
+            load, slot = gpu[0]
+            if load + q <= limit:
+                heapreplace(gpu, (load + q, slot))
+                continue
+        leftover.append(rank)
+    if not leftover:
+        return True
+    if not cpu:
+        return False
+    # The overflow goes to the CPUs, re-sorted by priority.
+    leftover.sort()
+    for rank in leftover:
+        p = by_priority[rank][0]
+        load, slot = cpu[0]
+        if load + p > limit:
+            return False
+        heapreplace(cpu, (load + p, slot))
+    return True
+
+
+def _feasibility_test(instance: Instance, platform: Platform) -> Callable[[float], bool]:
+    """``lam -> dualhp_try(instance, platform, lam) is not None``, floats only.
+
+    The instance is sorted once, in the two orders :func:`dualhp_try`
+    sorts on every call.  Both sorts are stable over the instance order,
+    so filtering them per guess gives the same lists, ties included.
+    """
+    tasks = instance.tasks
+    priority_order = sorted(
+        range(len(tasks)), key=lambda i: (-tasks[i].priority, tasks[i].uid)
+    )
+    rank = [0] * len(tasks)
+    for position, i in enumerate(priority_order):
+        rank[i] = position
+    acceleration_order = sorted(
+        range(len(tasks)),
+        key=lambda i: (-tasks[i].acceleration, -tasks[i].priority, tasks[i].uid),
+    )
+    by_priority = [(tasks[i].cpu_time, tasks[i].gpu_time) for i in priority_order]
+    by_acceleration = [
+        (tasks[i].cpu_time, tasks[i].gpu_time, rank[i]) for i in acceleration_order
+    ]
+    floor = max((t.min_time() for t in tasks), default=0.0)
+    return lambda lam: _feasible(
+        lam, by_priority, by_acceleration, floor, platform.num_cpus, platform.num_gpus
+    )
+
+
 def dualhp_schedule(
     instance: Instance,
     platform: Platform,
     *,
     rtol: float = SEARCH_RTOL,
 ) -> DualHPResult:
-    """Binary search on ``lambda`` down to relative precision *rtol*."""
+    """Binary search on ``lambda`` down to relative precision *rtol*.
+
+    Each step only tests feasibility (:func:`_feasibility_test`); the
+    schedule is built once, by :func:`dualhp_try` at the converged guess.
+    """
     if len(instance) == 0:
         return DualHPResult(schedule=Schedule(platform), lam=0.0)
     lo = makespan_lower_bound(instance, platform) / 2.0
@@ -180,17 +282,15 @@ def dualhp_schedule(
         else 0.0,
         max(t.min_time() for t in instance),
     )
-    best = dualhp_try(instance, platform, hi)
-    while best is None:  # enlarge until feasible (degenerate platforms)
+    feasible = _feasibility_test(instance, platform)
+    while not feasible(hi):  # enlarge until feasible (degenerate platforms)
         hi *= 2.0
-        best = dualhp_try(instance, platform, hi)
-    best_lam = hi
     while hi - lo > rtol * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
-        trial = dualhp_try(instance, platform, mid)
-        if trial is None:
-            lo = mid
-        else:
+        if feasible(mid):
             hi = mid
-            best, best_lam = trial, mid
-    return DualHPResult(schedule=best, lam=best_lam)
+        else:
+            lo = mid
+    schedule = dualhp_try(instance, platform, hi)
+    assert schedule is not None, "_feasible mirrors dualhp_try"
+    return DualHPResult(schedule=schedule, lam=hi)

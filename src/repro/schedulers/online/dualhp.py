@@ -95,24 +95,33 @@ class DualHPPolicy(OnlinePolicy):
             self._class_queues = {ResourceKind.CPU: [], ResourceKind.GPU: []}
             return
 
+        cpu_times = [t.cpu_time for t in tasks]
+        gpu_times = [t.gpu_time for t in tasks]
+        min_times = [t.min_time() for t in tasks]
+        floor = max(min_times)
+        cpu_heap = [(load, slot) for slot, load in enumerate(cpu_init)]
+        gpu_heap = [(load, slot) for slot, load in enumerate(gpu_init)]
+        heapq.heapify(cpu_heap)
+        heapq.heapify(gpu_heap)
+
+        def feasible(lam: float) -> bool:
+            return _feasible(lam, cpu_times, gpu_times, floor, cpu_heap, gpu_heap)
+
         base = max(max(cpu_init, default=0.0), max(gpu_init, default=0.0))
-        hi = base + max(
-            sum(t.min_time() for t in tasks),
-            max(t.min_time() for t in tasks),
-        )
-        assignment = self._try(tasks, hi, cpu_init, gpu_init)
-        while assignment is None:  # pragma: no cover - hi is always feasible
+        hi = base + max(sum(min_times), floor)
+        while not feasible(hi):  # pragma: no cover - hi is always feasible
             hi *= 2.0
-            assignment = self._try(tasks, hi, cpu_init, gpu_init)
         lo = 0.0
         while hi - lo > ONLINE_RTOL * hi:
             mid = 0.5 * (lo + hi)
-            trial = self._try(tasks, mid, cpu_init, gpu_init)
-            if trial is None:
-                lo = mid
-            else:
+            if feasible(mid):
                 hi = mid
-                assignment = trial
+            else:
+                lo = mid
+        # _try is deterministic in lambda, so this is the assignment of
+        # the last feasible trial.
+        assignment = self._try(tasks, hi, cpu_init, gpu_init)
+        assert assignment is not None, "_feasible mirrors _try"
         queues: dict[ResourceKind, list[Task]] = {
             ResourceKind.CPU: [],
             ResourceKind.GPU: [],
@@ -133,9 +142,13 @@ class DualHPPolicy(OnlinePolicy):
     ) -> dict[Task, ResourceKind] | None:
         """One dual round on the pool; ``None`` when *lam* is infeasible.
 
-        Mirrors :func:`repro.schedulers.dualhp.dualhp_try` but only
+        Follows :func:`repro.schedulers.dualhp.dualhp_try` but only
         yields the class split (the runtime decides actual workers), and
-        accounts for the initial class loads of running work.
+        accounts for the initial class loads of running work.  Unlike
+        the offline round, every task is packed in the given
+        acceleration order: forced tasks interleave with the optional
+        ones, and the CPU overflow keeps acceleration order where
+        ``dualhp_try`` re-sorts its leftovers by priority.
 
         Class loads are kept in binary heaps of ``(load, slot)`` so each
         pack is O(log m) instead of a linear argmin over the class; the
@@ -183,3 +196,57 @@ class DualHPPolicy(OnlinePolicy):
                 return None
             assignment[task] = ResourceKind.CPU
         return assignment
+
+
+def _feasible(
+    lam: float,
+    cpu_times: list[float],
+    gpu_times: list[float],
+    floor: float,
+    cpu_heap: list[tuple[float, int]],
+    gpu_heap: list[tuple[float, int]],
+) -> bool:
+    """``DualHPPolicy._try(...) is not None``, floats only.
+
+    The times are those of the ``_try`` task list, in its order; the
+    heaps hold the initial ``(load, slot)`` pairs and are copied, not
+    mutated.  *floor* is ``max min(p, q)``: below it some task exceeds
+    *lam* on both classes, which ``_try`` rejects.
+    """
+    if lam < floor:
+        return False
+    limit = 2.0 * lam
+    cpu = list(cpu_heap)
+    gpu = list(gpu_heap)
+    heapreplace = heapq.heapreplace
+    overflow: list[float] = []
+    for p, q in zip(cpu_times, gpu_times):
+        if p > lam:
+            if not gpu:
+                return False
+            load, slot = gpu[0]
+            if load + q > limit:
+                return False
+            heapreplace(gpu, (load + q, slot))
+        elif q > lam:
+            if not cpu:
+                return False
+            load, slot = cpu[0]
+            if load + p > limit:
+                return False
+            heapreplace(cpu, (load + p, slot))
+        else:
+            if gpu:
+                load, slot = gpu[0]
+                if load + q <= limit:
+                    heapreplace(gpu, (load + q, slot))
+                    continue
+            overflow.append(p)
+    if overflow and not cpu:
+        return False
+    for p in overflow:
+        load, slot = cpu[0]
+        if load + p > limit:
+            return False
+        heapreplace(cpu, (load + p, slot))
+    return True

@@ -353,10 +353,12 @@ class TestCampaignCli:
         assert main(["campaign", "--targets", "table1"]) == 2
         assert "unknown campaign targets" in capsys.readouterr().err
 
-    def test_jobs_flag_accepted_on_figures(self, capsys):
+    def test_jobs_flag_accepted_on_figures(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["fig6", "--kernel", "qr", "--fast", "--jobs", "1"]) == 0
+        argv = ["fig6", "--kernel", "qr", "--fast", "--jobs", "1",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
         assert "heteroprio" in capsys.readouterr().out
 
 

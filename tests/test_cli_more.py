@@ -7,8 +7,9 @@ from repro.cli import main
 
 class TestCliKernels:
     @pytest.mark.parametrize("experiment", ["fig8", "fig9"])
-    def test_single_kernel_fast(self, experiment, capsys):
-        assert main([experiment, "--kernel", "lu", "--fast"]) == 0
+    def test_single_kernel_fast(self, experiment, tmp_path, capsys):
+        argv = [experiment, "--kernel", "lu", "--fast", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "lu" in out
         assert "[CPU]" in out and "[GPU]" in out
@@ -25,7 +26,9 @@ class TestCliOutput:
         assert "28.800" in content
 
     def test_out_multi_kernel_concatenates(self, tmp_path, capsys):
-        assert main(["fig6", "--fast", "--out", str(tmp_path)]) == 0
+        argv = ["fig6", "--fast", "--out", str(tmp_path),
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
         content = (tmp_path / "fig6.txt").read_text()
         assert content.count("== fig6:") == 3  # cholesky + qr + lu
 

@@ -1,11 +1,15 @@
 """Focused tests for the online DualHP policy internals."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core.platform import Platform, ResourceKind, Worker
 from repro.core.task import Task
 from repro.dag.graph import TaskGraph
 from repro.schedulers.online import DualHPPolicy
+from repro.schedulers.online.dualhp import _feasible
 from repro.schedulers.online.base import RunningView, StartTask
 from repro.simulator import simulate
 
@@ -116,3 +120,64 @@ class TestEndToEnd:
             g.add_task(_t(f"m{i}", p=100.0, q=1.0))
         s = simulate(g, Platform(4, 1), DualHPPolicy())
         assert not s.aborted_placements()
+
+
+class TestFeasibility:
+    """``_feasible`` is the bisection's stand-in for ``_try(...) is not None``."""
+
+    PLATFORMS = (Platform(3, 2), Platform(1, 1), Platform(4, 0), Platform(0, 2))
+
+    @pytest.mark.parametrize("seed", range(80))
+    def test_agrees_with_try_for_every_lambda(self, seed):
+        rng = np.random.default_rng(seed)
+        platform = self.PLATFORMS[seed % len(self.PLATFORMS)]
+        policy = _policy(platform)
+        n = int(rng.integers(1, 40))
+        # Long times on one class only keep max min(p, q) small, so many
+        # guesses force tasks onto a class.
+        kind = rng.integers(0, 3, size=n)
+        short = rng.choice((1.0, 2.0, 3.0), size=(2, n))
+        long = rng.choice((5.0, 8.0, 12.0), size=(2, n))
+        cpu = np.where(kind == 1, long[0], short[0])
+        gpu = np.where(kind == 2, long[1], short[1])
+        tasks = [
+            _t(f"t{i}", p=float(p), q=float(q), priority=float(prio))
+            for i, (p, q, prio) in enumerate(zip(cpu, gpu, rng.integers(0, 3, size=n)))
+        ]
+        tasks.sort(key=lambda t: (-t.acceleration, -t.priority))
+        cpu_init = rng.choice((0.0, 0.5, 2.0, 7.0), size=platform.num_cpus).tolist()
+        gpu_init = rng.choice((0.0, 0.5, 2.0, 7.0), size=platform.num_gpus).tolist()
+        cpu_heap = sorted((load, slot) for slot, load in enumerate(cpu_init))
+        gpu_heap = sorted((load, slot) for slot, load in enumerate(gpu_init))
+        floor = max(t.min_time() for t in tasks)
+        lams = {floor, math.nextafter(floor, 0.0), 0.0}
+        for t in tasks:
+            for value in (t.cpu_time, t.gpu_time):
+                lams.update((value, value / 2.0, math.nextafter(value, 0.0)))
+        lams.update(np.linspace(0.1, 2.0 * max(lams) + 10.0, 50).tolist())
+        for lam in sorted(lams):
+            expected = policy._try(tasks, lam, cpu_init, gpu_init) is not None
+            got = _feasible(
+                lam,
+                [t.cpu_time for t in tasks],
+                [t.gpu_time for t in tasks],
+                floor,
+                cpu_heap,
+                gpu_heap,
+            )
+            assert got == expected, lam
+        # The heaps are the caller's and must survive every trial intact.
+        assert cpu_heap == sorted((load, slot) for slot, load in enumerate(cpu_init))
+        assert gpu_heap == sorted((load, slot) for slot, load in enumerate(gpu_init))
+
+    def test_rejects_exactly_below_max_min_time(self):
+        platform = Platform(2, 2)
+        policy = _policy(platform)
+        tasks = [_t("a", p=4.0, q=6.0), _t("b", p=1.0, q=1.0)]
+        floor = 4.0
+        below = math.nextafter(floor, 0.0)
+        heap = [(0.0, 0), (0.0, 1)]
+        assert policy._try(tasks, below, [0.0, 0.0], [0.0, 0.0]) is None
+        assert not _feasible(below, [4.0, 1.0], [6.0, 1.0], floor, heap, heap)
+        assert policy._try(tasks, floor, [0.0, 0.0], [0.0, 0.0]) is not None
+        assert _feasible(floor, [4.0, 1.0], [6.0, 1.0], floor, heap, heap)
