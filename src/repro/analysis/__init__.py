@@ -27,51 +27,69 @@ story rests on:
 
 Entry points: ``repro lint`` and ``repro analyze`` (see
 :mod:`repro.analysis.cli`).
+
+The names below resolve lazily (PEP 562): the campaign cache imports
+:mod:`repro.analysis.fingerprint` on every run, and must not pay for
+loading the lint and flow stack it never uses.  The shipped lint rules
+register themselves when :mod:`repro.analysis.lint` first hands out
+rules (:func:`~repro.analysis.lint.all_rules`, ``lint_paths``).
 """
 
 from __future__ import annotations
 
-from repro.analysis.fingerprint import (
-    MANIFEST_PATH,
-    SALTED_PACKAGES,
-    check_gate,
-    compute_fingerprints,
-    load_manifest,
-    normalized_fingerprint,
-    write_manifest,
-)
-from repro.analysis.flow import AnalysisReport, Finding, analyze_tree
-from repro.analysis.lint import (
-    LintReport,
-    Rule,
-    Suppression,
-    Violation,
-    all_rules,
-    lint_paths,
-    register_rule,
-)
+import importlib
+from typing import TYPE_CHECKING, Any, Dict
 
-__all__ = [
-    "AnalysisReport",
-    "Finding",
-    "LintReport",
-    "MANIFEST_PATH",
-    "Rule",
-    "SALTED_PACKAGES",
-    "Suppression",
-    "Violation",
-    "all_rules",
-    "analyze_tree",
-    "check_gate",
-    "compute_fingerprints",
-    "lint_paths",
-    "load_manifest",
-    "normalized_fingerprint",
-    "register_rule",
-    "write_manifest",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS: Dict[str, str] = {
+    "AnalysisReport": "flow",
+    "Finding": "flow",
+    "LintReport": "lint",
+    "MANIFEST_PATH": "fingerprint",
+    "Rule": "lint",
+    "SALTED_PACKAGES": "fingerprint",
+    "Suppression": "lint",
+    "Violation": "lint",
+    "all_rules": "lint",
+    "analyze_tree": "flow",
+    "check_gate": "fingerprint",
+    "compute_fingerprints": "fingerprint",
+    "lint_paths": "lint",
+    "load_manifest": "fingerprint",
+    "normalized_fingerprint": "fingerprint",
+    "register_rule": "lint",
+    "write_manifest": "fingerprint",
+}
 
-# Importing the ruleset registers the shipped rules with the registry.
-from repro.analysis import rules as _rules  # noqa: E402  (registration import)
+__all__ = sorted(_EXPORTS)
 
-del _rules
+
+def __getattr__(name: str) -> Any:
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
+
+
+if TYPE_CHECKING:
+    from repro.analysis.fingerprint import (
+        MANIFEST_PATH,
+        SALTED_PACKAGES,
+        check_gate,
+        compute_fingerprints,
+        load_manifest,
+        normalized_fingerprint,
+        write_manifest,
+    )
+    from repro.analysis.flow import AnalysisReport, Finding, analyze_tree
+    from repro.analysis.lint import (
+        LintReport,
+        Rule,
+        Suppression,
+        Violation,
+        all_rules,
+        lint_paths,
+        register_rule,
+    )

@@ -228,8 +228,17 @@ def register_rule(rule_cls: type) -> type:
     return rule_cls
 
 
+def _register_shipped_rules() -> None:
+    """Import :mod:`repro.analysis.rules`, which registers the shipped rules.
+
+    Deferred to first use because the rules module imports this one.
+    """
+    import repro.analysis.rules  # noqa: F401  (registration import)
+
+
 def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, sorted by id."""
+    _register_shipped_rules()
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
 
 
@@ -355,6 +364,7 @@ def lint_paths(
     root = Path(root)
     if paths is None:
         paths = [p for p in DEFAULT_LINT_PATHS if (root / p).exists()]
+    _register_shipped_rules()
     active_rules = list(all_rules() if rules is None else rules)
     known_ids = (
         {rule.rule_id for rule in active_rules}

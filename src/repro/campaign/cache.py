@@ -33,6 +33,14 @@ The payload stores the spec and its effective salt verbatim, and a read
 verifies both against the requester — a hash collision or a stale salt
 can therefore never leak a wrong result.  Non-finite metric values are
 tunnelled through JSON as tagged strings, keeping the files canonical.
+
+The tables the selective salts are derived from live beside the
+entries, in ``<table_root>/salts/<digest>.json`` (see
+:mod:`repro.campaign.salts`): the first selective cache that needs a
+salt binds the process-wide tables to its ``table_root``, so a fresh
+interpreter reads one small file instead of parsing every salted
+module.  ``salts/`` is not a shard: no maintenance operation counts or
+evicts it, and :meth:`ResultCache.gc` drops tables of other trees.
 """
 
 from __future__ import annotations
@@ -49,7 +57,14 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.campaign.salts import closure_is_pristine, salt_for_spec, spec_roots
+from repro.campaign.salts import (
+    TABLE_DIR,
+    bind_table_root,
+    closure_is_pristine,
+    live_tree_digest,
+    salt_for_spec,
+    spec_roots,
+)
 from repro.campaign.spec import CODE_VERSION, InstanceSpec
 from repro.io import canonical_dumps
 
@@ -158,6 +173,10 @@ class ResultCache:
     selective:
         Derive per-spec salts from module closures (see module
         docstring) and honour the legacy-entry migration shim.
+    table_root:
+        Directory whose ``salts/`` subdirectory stores the salt tables
+        (default: *root*).  Tenant namespaces pass their server's base
+        root, so every tenant shares one table.
     """
 
     #: Puts between automatic cap checks (prune scans the whole tier,
@@ -172,8 +191,10 @@ class ResultCache:
         memory_entries: int = DEFAULT_MEMORY_ENTRIES,
         disk_cap_bytes: int | None = None,
         selective: bool = True,
+        table_root: str | Path | None = None,
     ):
         self.root = Path(root)
+        self.table_root = self.root if table_root is None else Path(table_root)
         self.salt = salt
         self.memory_entries = max(0, int(memory_entries))
         self.disk_cap_bytes = disk_cap_bytes
@@ -182,6 +203,7 @@ class ResultCache:
         self._memory: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
         self._memory_lock = threading.Lock()
         self._puts_since_check = 0
+        self._tables_bound = False
         self.root.mkdir(parents=True, exist_ok=True)
 
     # The executor pickles caches into spawn/fork workers (mp pool,
@@ -193,6 +215,7 @@ class ResultCache:
         state["_memory_lock"] = None
         state["stats"] = CacheStats()
         state["_puts_since_check"] = 0
+        state["_tables_bound"] = False
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
@@ -205,6 +228,9 @@ class ResultCache:
         """The effective salt of *spec* under this cache."""
         if not self.selective:
             return self.salt
+        if not self._tables_bound:
+            bind_table_root(self.table_root)
+            self._tables_bound = True
         return salt_for_spec(spec, base=self.salt)
 
     def key(self, spec: InstanceSpec) -> str:
@@ -451,18 +477,34 @@ class ResultCache:
         Keeps entries stored under their current effective salt, plus
         legacy (base-salt) entries the migration shim still honours;
         removes everything else — foreign salts, superseded closures,
-        corrupt files, entries filed under the wrong name.  Returns the
-        number of files removed.
+        corrupt files, entries filed under the wrong name.  Salt tables
+        of other trees and interrupted table writes (``.tmp-`` files)
+        under ``<table_root>/salts/`` go too.  Returns the number of
+        files removed.
         """
+        doomed = [path for path in self.iter_paths() if not self._gc_keep(path)]
+        doomed += self._stale_salt_tables()
         removed = 0
-        for path in list(self.iter_paths()):
-            if not self._gc_keep(path):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+        for path in doomed:
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
         return removed
+
+    def _stale_salt_tables(self) -> list[Path]:
+        """Files under ``salts/`` that no lookup of this tree can read."""
+        directory = self.table_root / TABLE_DIR
+        if not directory.is_dir():
+            return []
+        live = f"{live_tree_digest()}.json"
+        return [
+            path
+            for path in sorted(directory.iterdir())
+            if path.name.startswith(".tmp-")
+            or (path.suffix == ".json" and path.name != live)
+        ]
 
     def _gc_keep(self, path: Path) -> bool:
         try:

@@ -53,14 +53,17 @@ __all__ = ["DispatchResult", "Dispatcher", "namespaced_cache"]
 
 
 def namespaced_cache(cache: ResultCache, tenant: str) -> ResultCache:
-    """The per-tenant view of *cache*: same salt, tenant-scoped directory.
+    """The per-tenant view of *cache*: same salt and salt tables,
+    tenant-scoped directory.
 
     The empty tenant is the root namespace (the cache itself), so
     anonymous requests and the ``repro campaign`` CLI share entries.
     """
     if not tenant:
         return cache
-    return ResultCache(cache.root / "tenants" / tenant, salt=cache.salt)
+    return ResultCache(
+        cache.root / "tenants" / tenant, salt=cache.salt, table_root=cache.table_root
+    )
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import os
 import pickle
+from pathlib import Path
 
 import pytest
 
-from repro.campaign import InstanceSpec, ResultCache
+from repro.campaign import InstanceSpec, ResultCache, salts
 from repro.campaign.cache import DEFAULT_MEMORY_ENTRIES
 
 
@@ -182,6 +183,52 @@ class TestGc:
         path.write_text("{not json")
         assert cache.gc() == 1
         assert not path.exists()
+
+
+class TestSaltTables:
+    """``<root>/salts/`` holds salt tables, not entries."""
+
+    @pytest.fixture(autouse=True)
+    def _unbound_tables(self):
+        # Unloaded tables: the first cache below that needs a salt
+        # binds its own root and writes its table there.
+        salts.reset_salt_caches()
+        yield
+        salts.reset_salt_caches()
+
+    def _filled(self, tmp_path) -> tuple[ResultCache, Path]:
+        cache = ResultCache(tmp_path)
+        for n in (4, 5):
+            cache.put(spec(n), {"makespan": float(n)})
+        live = tmp_path / salts.TABLE_DIR / f"{salts.live_tree_digest()}.json"
+        assert live.is_file()
+        return cache, live
+
+    def test_maintenance_never_counts_salt_tables(self, tmp_path):
+        cache, live = self._filled(tmp_path)
+        (live.parent / ("a" * 64 + ".json")).write_text("{}")
+        (live.parent / ".tmp-abc.json").write_text("")
+        tables = sorted(live.parent.iterdir())
+        paths = list(cache.iter_paths())
+        assert len(paths) == 2
+        assert all(path.parent.parent == tmp_path for path in paths)
+        assert len(cache) == 2
+        assert cache.disk_usage() == (2, sum(p.stat().st_size for p in paths))
+        assert cache.prune(max_entries=0) == 2
+        assert cache.prune(max_bytes=0) == 0
+        assert cache.clear() == 0
+        assert sorted(live.parent.iterdir()) == tables
+
+    def test_gc_drops_other_trees_tables_and_temp_files(self, tmp_path):
+        cache, live = self._filled(tmp_path)
+        stale = live.parent / ("a" * 64 + ".json")
+        stale.write_text(live.read_text())
+        leftover = live.parent / ".tmp-abc.json"
+        leftover.write_text("{")
+        assert cache.gc() == 2
+        assert sorted(live.parent.iterdir()) == [live]
+        assert cache.get(spec(4)) is not None and cache.get(spec(5)) is not None
+        assert cache.gc() == 0
 
 
 class TestStats:
