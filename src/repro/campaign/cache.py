@@ -49,7 +49,6 @@ import dataclasses
 import json
 import math
 import os
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -66,7 +65,7 @@ from repro.campaign.salts import (
     spec_roots,
 )
 from repro.campaign.spec import CODE_VERSION, InstanceSpec
-from repro.io import canonical_dumps
+from repro.io import atomic_write, canonical_dumps
 
 __all__ = [
     "CacheStats",
@@ -371,19 +370,8 @@ class ResultCache:
             "elapsed_s": float(elapsed_s),
         }
         text = canonical_dumps(payload, indent=1)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text + "\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with atomic_write(path, suffix=".json") as handle:
+            handle.write(text + "\n")
         self.stats.puts += 1
         entry: dict[str, Any] = _decode_value(json.loads(text))
         entry["metrics"] = dict(entry.get("metrics", {}))

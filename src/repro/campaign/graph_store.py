@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import zipfile
 from pathlib import Path
 from typing import Iterator
@@ -34,7 +32,7 @@ import numpy as np
 from repro.campaign.salts import workload_salt
 from repro.campaign.spec import CODE_VERSION
 from repro.dag.compiled import CompiledGraph
-from repro.io import canonical_dumps
+from repro.io import atomic_write, canonical_dumps
 
 __all__ = ["GraphStore", "GRAPH_FORMAT_VERSION"]
 
@@ -130,17 +128,8 @@ class GraphStore:
         path = self.path_for(workload, size, timing=timing)
         path.parent.mkdir(parents=True, exist_ok=True)
         meta = canonical_dumps(self._meta(workload, size, timing))
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".npz")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, meta=meta, name=graph.name, **graph.to_arrays())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with atomic_write(path, "wb", suffix=".npz") as handle:
+            np.savez(handle, meta=meta, name=graph.name, **graph.to_arrays())
         return path
 
     # -- maintenance ---------------------------------------------------------

@@ -23,14 +23,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import IO, Any, Iterator
 
 from repro.core.task import Instance, Task
 from repro.dag.dataflow import Access, AccessMode
 from repro.dag.graph import TaskGraph
 
 __all__ = [
+    "atomic_write",
     "canonical_dumps",
     "instance_to_json",
     "instance_from_json",
@@ -83,6 +86,38 @@ def canonical_dumps(payload: Any, *, indent: int | None = None) -> str:
         separators=separators,
         allow_nan=False,
     )
+
+
+@contextmanager
+def atomic_write(
+    path: str | Path, mode: str = "w", *, suffix: str = ""
+) -> Iterator[IO[Any]]:
+    """Write *path* atomically: a temp file beside it, renamed over it.
+
+    Yields the open temp file (``mode`` ``"w"`` for UTF-8 text, ``"wb"``
+    for bytes), named ``.tmp-<random hex><suffix>`` in *path*'s
+    directory.  When the block exits cleanly the file is closed and
+    moved onto *path* with ``os.replace``, so readers see the old file
+    or the whole new one; on any exception it is removed and the exception
+    propagates.  The file is created with mode ``0o666`` less the
+    process umask — what ``open(path, "w")`` gives — not ``mkstemp``'s
+    owner-only ``0o600``, so a cache directory shared between accounts
+    stays readable by all of them.
+    """
+    path = Path(path)
+    tmp = path.parent / f".tmp-{os.urandom(8).hex()}{suffix}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        encoding = None if "b" in mode else "utf-8"
+        with os.fdopen(fd, mode, encoding=encoding) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _task_to_dict(task: Task) -> dict[str, Any]:

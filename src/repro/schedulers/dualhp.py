@@ -21,6 +21,7 @@ schemes of Section 6.2 set those priorities).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,7 +30,13 @@ from repro.core.platform import Platform, ResourceKind, Worker
 from repro.core.schedule import Schedule
 from repro.core.task import Instance, Task
 
-__all__ = ["DualHPResult", "dualhp_try", "dualhp_schedule"]
+__all__ = [
+    "DualHPResult",
+    "OutcomeMemo",
+    "dualhp_try",
+    "dualhp_schedule",
+    "verdict_span",
+]
 
 #: Relative precision of the binary search on ``lambda``.
 SEARCH_RTOL = 1e-9
@@ -49,24 +56,39 @@ class DualHPResult:
 
 def _pack_class(
     tasks: list[Task],
-    loads: dict[Worker, float],
+    heap: list[tuple[float, int, Worker]],
     kind: ResourceKind,
     limit: float,
+    placed: list[tuple[Task, Worker, float]],
 ) -> list[Task]:
     """Greedy least-loaded packing; returns tasks that would exceed *limit*.
 
     Tasks are attempted in the given order; each either lands on the
-    least-loaded worker of the class or is returned as an overflow.
+    least-loaded worker of the class — the minimum of the
+    ``(load, index, worker)`` *heap*, ties to the lowest index — and is
+    recorded in *placed* as ``(task, worker, start)``, or is returned as
+    an overflow.
     """
     overflow: list[Task] = []
+    heapreplace = heapq.heapreplace
     for task in tasks:
-        worker = min(loads, key=lambda w: (loads[w], w.index))
-        duration = task.time_on(kind)
-        if loads[worker] + duration <= limit:
-            loads[worker] += duration
+        load, index, worker = heap[0]
+        end = load + task.time_on(kind)
+        if end <= limit:
+            heapreplace(heap, (end, index, worker))
+            placed.append((task, worker, load))
         else:
             overflow.append(task)
     return overflow
+
+
+def _load_heap(
+    platform: Platform, kind: ResourceKind, initial: dict[Worker, float]
+) -> list[tuple[float, int, Worker]]:
+    """``(load, index, worker)`` of every *kind* worker, heapified."""
+    heap = [(initial.get(w, 0.0), w.index, w) for w in platform.workers(kind)]
+    heapq.heapify(heap)
+    return heap
 
 
 def dualhp_try(
@@ -79,16 +101,14 @@ def dualhp_try(
     """One dual-approximation round: a ``<= 2*lam`` schedule, or ``None``.
 
     ``initial_loads`` lets the online DAG adaptation account for work
-    already running on each worker (Section 6.2).
+    already running on each worker (Section 6.2); loads of workers not
+    on *platform* are ignored.  Each task starts at the load of the
+    worker it is packed on, so the schedule is the packing record, in
+    packing order, built only once every class has been packed.
     """
     limit = 2.0 * lam
-    cpu_loads = {w: 0.0 for w in platform.workers(ResourceKind.CPU)}
-    gpu_loads = {w: 0.0 for w in platform.workers(ResourceKind.GPU)}
-    if initial_loads:
-        for worker, load in initial_loads.items():
-            target = cpu_loads if worker.kind is ResourceKind.CPU else gpu_loads
-            if worker in target:
-                target[worker] = load
+    cpu_loads = _load_heap(platform, ResourceKind.CPU, initial_loads or {})
+    gpu_loads = _load_heap(platform, ResourceKind.GPU, initial_loads or {})
 
     forced_cpu: list[Task] = []
     forced_gpu: list[Task] = []
@@ -116,61 +136,60 @@ def dualhp_try(
     forced_cpu.sort(key=by_priority)
     optional.sort(key=lambda t: (-t.acceleration, -t.priority, t.uid))
 
-    assignment: dict[Task, ResourceKind] = {}
-    if _pack_class(forced_gpu, gpu_loads, ResourceKind.GPU, limit):
+    placed: list[tuple[Task, Worker, float]] = []
+    if _pack_class(forced_gpu, gpu_loads, ResourceKind.GPU, limit, placed):
         return None
-    if _pack_class(forced_cpu, cpu_loads, ResourceKind.CPU, limit):
+    if _pack_class(forced_cpu, cpu_loads, ResourceKind.CPU, limit, placed):
         return None
-    for task in forced_gpu:
-        assignment[task] = ResourceKind.GPU
-    for task in forced_cpu:
-        assignment[task] = ResourceKind.CPU
-
     if gpu_loads:
-        leftover = _pack_class(optional, gpu_loads, ResourceKind.GPU, limit)
+        leftover = _pack_class(optional, gpu_loads, ResourceKind.GPU, limit, placed)
     else:
-        leftover = list(optional)
-    leftover_set = set(leftover)
-    placed_on_gpu = [t for t in optional if t not in leftover_set]
-    for task in placed_on_gpu:
-        assignment[task] = ResourceKind.GPU
+        leftover = optional
     if not cpu_loads and leftover:
         return None
     leftover.sort(key=by_priority)
-    if _pack_class(leftover, cpu_loads, ResourceKind.CPU, limit):
+    if _pack_class(leftover, cpu_loads, ResourceKind.CPU, limit, placed):
         return None
-    for task in leftover:
-        assignment[task] = ResourceKind.CPU
 
-    # Materialise the schedule by replaying the packing per class.
     schedule = Schedule(platform)
-    replay_loads: dict[Worker, float] = {}
-    for worker in platform.workers():
-        replay_loads[worker] = (initial_loads or {}).get(worker, 0.0)
-    ordered = (
-        forced_gpu
-        + forced_cpu
-        + [t for t in optional if assignment[t] is ResourceKind.GPU]
-        + leftover
-    )
-    for task in ordered:
-        kind = assignment[task]
-        candidates = {w: replay_loads[w] for w in platform.workers(kind)}
-        worker = min(candidates, key=lambda w: (candidates[w], w.index))
-        schedule.add(task, worker, replay_loads[worker])
-        replay_loads[worker] += task.time_on(kind)
+    for task, worker, start in placed:
+        schedule.add(task, worker, start)
     return schedule
 
 
-def _feasible(
+def _half(limit: float) -> float:
+    """The least float ``c`` with ``limit > 2*lam`` iff ``lam < c``, for float ``lam``.
+
+    ``2*lam`` is exact, so the test is ``lam < limit/2``; ``0.5*limit``
+    is that bound unless *limit* is subnormal, where it may round down.
+    """
+    c = 0.5 * limit
+    return c if c + c >= limit else math.nextafter(c, math.inf)
+
+
+def verdict_span(
+    verdict: bool, lo: float, hi: float, lo2: float, hi2: float
+) -> tuple[bool, float, float]:
+    """*verdict* on ``lo <= lam < hi`` and ``lo2 <= 2*lam < hi2``, as one interval."""
+    return verdict, max(lo, _half(lo2)), min(hi, _half(hi2))
+
+
+def _outcome(
     lam: float,
     by_priority: list[tuple[float, float]],
     by_acceleration: list[tuple[float, float, int]],
     floor: float,
     num_cpus: int,
     num_gpus: int,
-) -> bool:
-    """Whether :func:`dualhp_try` accepts *lam*, from presorted task times.
+) -> tuple[bool, float, float]:
+    """Whether :func:`dualhp_try` accepts *lam*, and where that holds.
+
+    Returns ``(verdict, lo, hi)``: every comparison with *lam* made on
+    the way comes out the same for any guess in ``[lo, hi)``, so the
+    verdict does too (see :class:`OutcomeMemo`).  ``p > lam``,
+    ``q > lam`` and ``lam < floor`` bound *lam* directly; a pack test
+    ``load + t > 2*lam`` bounds ``2*lam`` by the sum itself, converted
+    once at the end (:func:`verdict_span`).
 
     *by_priority* holds ``(p, q)`` in ``(-priority, uid)`` order and
     *by_acceleration* holds ``(p, q, rank)`` in the optional-task order
@@ -183,27 +202,46 @@ def _feasible(
     below it some task exceeds *lam* on both classes.
     """
     if lam < floor:
-        return False
+        return False, -math.inf, floor
+    lo, hi = floor, math.inf
     limit = 2.0 * lam
+    lo2, hi2 = -math.inf, math.inf
     cpu = [(0.0, slot) for slot in range(num_cpus)]
     gpu = [(0.0, slot) for slot in range(num_gpus)]
     heapreplace = heapq.heapreplace
     # Forced tasks, priority first; the two classes pack independently.
+    # This loop compares every task's p (and q when p <= lam) with lam,
+    # so the optional phase below only repeats comparisons bounded here.
     for p, q in by_priority:
         if p > lam:
+            if p < hi:
+                hi = p
             if not gpu:
-                return False
+                return verdict_span(False, lo, hi, lo2, hi2)
             load, slot = gpu[0]
-            if load + q > limit:
-                return False
-            heapreplace(gpu, (load + q, slot))
-        elif q > lam:
+            end = load + q
+            if end > limit:
+                return verdict_span(False, lo, hi, lo2, min(hi2, end))
+            if end > lo2:
+                lo2 = end
+            heapreplace(gpu, (end, slot))
+            continue
+        if p > lo:
+            lo = p
+        if q > lam:
+            if q < hi:
+                hi = q
             if not cpu:
-                return False
+                return verdict_span(False, lo, hi, lo2, hi2)
             load, slot = cpu[0]
-            if load + p > limit:
-                return False
-            heapreplace(cpu, (load + p, slot))
+            end = load + p
+            if end > limit:
+                return verdict_span(False, lo, hi, lo2, min(hi2, end))
+            if end > lo2:
+                lo2 = end
+            heapreplace(cpu, (end, slot))
+        elif q > lo:
+            lo = q
     # Optional tasks by acceleration onto the GPUs; the rest overflows.
     leftover: list[int] = []
     for p, q, rank in by_acceleration:
@@ -211,26 +249,60 @@ def _feasible(
             continue
         if gpu:
             load, slot = gpu[0]
-            if load + q <= limit:
-                heapreplace(gpu, (load + q, slot))
+            end = load + q
+            if end <= limit:
+                if end > lo2:
+                    lo2 = end
+                heapreplace(gpu, (end, slot))
                 continue
+            if end < hi2:
+                hi2 = end
         leftover.append(rank)
     if not leftover:
-        return True
+        return verdict_span(True, lo, hi, lo2, hi2)
     if not cpu:
-        return False
+        return verdict_span(False, lo, hi, lo2, hi2)
     # The overflow goes to the CPUs, re-sorted by priority.
     leftover.sort()
     for rank in leftover:
         p = by_priority[rank][0]
         load, slot = cpu[0]
-        if load + p > limit:
-            return False
-        heapreplace(cpu, (load + p, slot))
-    return True
+        end = load + p
+        if end > limit:
+            return verdict_span(False, lo, hi, lo2, min(hi2, end))
+        if end > lo2:
+            lo2 = end
+        heapreplace(cpu, (end, slot))
+    return verdict_span(True, lo, hi, lo2, hi2)
 
 
-def _feasibility_test(instance: Instance, platform: Platform) -> Callable[[float], bool]:
+class OutcomeMemo:
+    """``lam -> verdict`` of a bisection test, reusing known outcomes.
+
+    *outcome* maps a guess to ``(verdict, lo, hi)``, a verdict that
+    holds for every guess in ``[lo, hi)``.  A guess inside an interval
+    already returned is answered from it, without packing; the verdicts
+    are those of *outcome*, so a bisection visits the same guesses and
+    converges to the same bound.  ``packs`` counts the calls of
+    *outcome*.
+    """
+
+    def __init__(self, outcome: Callable[[float], tuple[bool, float, float]]) -> None:
+        self.outcome = outcome
+        self._known: list[tuple[float, float, bool]] = []
+        self.packs = 0
+
+    def __call__(self, lam: float) -> bool:
+        for lo, hi, verdict in self._known:
+            if lo <= lam < hi:
+                return verdict
+        verdict, lo, hi = self.outcome(lam)
+        self._known.append((lo, hi, verdict))
+        self.packs += 1
+        return verdict
+
+
+def _feasibility_test(instance: Instance, platform: Platform) -> OutcomeMemo:
     """``lam -> dualhp_try(instance, platform, lam) is not None``, floats only.
 
     The instance is sorted once, in the two orders :func:`dualhp_try`
@@ -253,8 +325,15 @@ def _feasibility_test(instance: Instance, platform: Platform) -> Callable[[float
         (tasks[i].cpu_time, tasks[i].gpu_time, rank[i]) for i in acceleration_order
     ]
     floor = max((t.min_time() for t in tasks), default=0.0)
-    return lambda lam: _feasible(
-        lam, by_priority, by_acceleration, floor, platform.num_cpus, platform.num_gpus
+    return OutcomeMemo(
+        lambda lam: _outcome(
+            lam,
+            by_priority,
+            by_acceleration,
+            floor,
+            platform.num_cpus,
+            platform.num_gpus,
+        )
     )
 
 
@@ -266,8 +345,10 @@ def dualhp_schedule(
 ) -> DualHPResult:
     """Binary search on ``lambda`` down to relative precision *rtol*.
 
-    Each step only tests feasibility (:func:`_feasibility_test`); the
-    schedule is built once, by :func:`dualhp_try` at the converged guess.
+    Each step only tests feasibility (:func:`_feasibility_test`, which
+    answers a guess inside an already-packed outcome interval without
+    packing); the schedule is built once, by :func:`dualhp_try` at the
+    converged guess.
     """
     if len(instance) == 0:
         return DualHPResult(schedule=Schedule(platform), lam=0.0)
@@ -292,5 +373,5 @@ def dualhp_schedule(
         else:
             lo = mid
     schedule = dualhp_try(instance, platform, hi)
-    assert schedule is not None, "_feasible mirrors dualhp_try"
+    assert schedule is not None, "_outcome mirrors dualhp_try"
     return DualHPResult(schedule=schedule, lam=hi)

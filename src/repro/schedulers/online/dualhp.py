@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Mapping, Sequence
 
 from repro.core.platform import Platform, ResourceKind, Worker
 from repro.core.task import Task
+from repro.schedulers.dualhp import OutcomeMemo, verdict_span
 from repro.schedulers.online.base import Action, OnlinePolicy, RunningView, StartTask
 
 __all__ = ["DualHPPolicy"]
@@ -104,8 +106,9 @@ class DualHPPolicy(OnlinePolicy):
         heapq.heapify(cpu_heap)
         heapq.heapify(gpu_heap)
 
-        def feasible(lam: float) -> bool:
-            return _feasible(lam, cpu_times, gpu_times, floor, cpu_heap, gpu_heap)
+        feasible = OutcomeMemo(
+            lambda lam: _outcome(lam, cpu_times, gpu_times, floor, cpu_heap, gpu_heap)
+        )
 
         base = max(max(cpu_init, default=0.0), max(gpu_init, default=0.0))
         hi = base + max(sum(min_times), floor)
@@ -121,7 +124,7 @@ class DualHPPolicy(OnlinePolicy):
         # _try is deterministic in lambda, so this is the assignment of
         # the last feasible trial.
         assignment = self._try(tasks, hi, cpu_init, gpu_init)
-        assert assignment is not None, "_feasible mirrors _try"
+        assert assignment is not None, "_outcome mirrors _try"
         queues: dict[ResourceKind, list[Task]] = {
             ResourceKind.CPU: [],
             ResourceKind.GPU: [],
@@ -198,55 +201,83 @@ class DualHPPolicy(OnlinePolicy):
         return assignment
 
 
-def _feasible(
+def _outcome(
     lam: float,
     cpu_times: list[float],
     gpu_times: list[float],
     floor: float,
     cpu_heap: list[tuple[float, int]],
     gpu_heap: list[tuple[float, int]],
-) -> bool:
-    """``DualHPPolicy._try(...) is not None``, floats only.
+) -> tuple[bool, float, float]:
+    """``DualHPPolicy._try(...) is not None``, floats only, and where it holds.
 
     The times are those of the ``_try`` task list, in its order; the
     heaps hold the initial ``(load, slot)`` pairs and are copied, not
     mutated.  *floor* is ``max min(p, q)``: below it some task exceeds
-    *lam* on both classes, which ``_try`` rejects.
+    *lam* on both classes, which ``_try`` rejects.  The verdict comes
+    with the interval ``[lo, hi)`` of guesses on which every comparison
+    made comes out the same, as in
+    :func:`repro.schedulers.dualhp._outcome`.
     """
     if lam < floor:
-        return False
+        return False, -math.inf, floor
+    lo, hi = floor, math.inf
     limit = 2.0 * lam
+    lo2, hi2 = -math.inf, math.inf
     cpu = list(cpu_heap)
     gpu = list(gpu_heap)
     heapreplace = heapq.heapreplace
     overflow: list[float] = []
     for p, q in zip(cpu_times, gpu_times):
         if p > lam:
+            if p < hi:
+                hi = p
             if not gpu:
-                return False
+                return verdict_span(False, lo, hi, lo2, hi2)
             load, slot = gpu[0]
-            if load + q > limit:
-                return False
-            heapreplace(gpu, (load + q, slot))
-        elif q > lam:
+            end = load + q
+            if end > limit:
+                return verdict_span(False, lo, hi, lo2, min(hi2, end))
+            if end > lo2:
+                lo2 = end
+            heapreplace(gpu, (end, slot))
+            continue
+        if p > lo:
+            lo = p
+        if q > lam:
+            if q < hi:
+                hi = q
             if not cpu:
-                return False
+                return verdict_span(False, lo, hi, lo2, hi2)
             load, slot = cpu[0]
-            if load + p > limit:
-                return False
-            heapreplace(cpu, (load + p, slot))
-        else:
-            if gpu:
-                load, slot = gpu[0]
-                if load + q <= limit:
-                    heapreplace(gpu, (load + q, slot))
-                    continue
-            overflow.append(p)
+            end = load + p
+            if end > limit:
+                return verdict_span(False, lo, hi, lo2, min(hi2, end))
+            if end > lo2:
+                lo2 = end
+            heapreplace(cpu, (end, slot))
+            continue
+        if q > lo:
+            lo = q
+        if gpu:
+            load, slot = gpu[0]
+            end = load + q
+            if end <= limit:
+                if end > lo2:
+                    lo2 = end
+                heapreplace(gpu, (end, slot))
+                continue
+            if end < hi2:
+                hi2 = end
+        overflow.append(p)
     if overflow and not cpu:
-        return False
+        return verdict_span(False, lo, hi, lo2, hi2)
     for p in overflow:
         load, slot = cpu[0]
-        if load + p > limit:
-            return False
-        heapreplace(cpu, (load + p, slot))
-    return True
+        end = load + p
+        if end > limit:
+            return verdict_span(False, lo, hi, lo2, min(hi2, end))
+        if end > lo2:
+            lo2 = end
+        heapreplace(cpu, (end, slot))
+    return verdict_span(True, lo, hi, lo2, hi2)

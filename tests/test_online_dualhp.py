@@ -1,5 +1,6 @@
 """Focused tests for the online DualHP policy internals."""
 
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,10 @@ from repro.core.platform import Platform, ResourceKind, Worker
 from repro.core.task import Task
 from repro.dag.graph import TaskGraph
 from repro.schedulers.online import DualHPPolicy
-from repro.schedulers.online.dualhp import _feasible
+from repro.campaign.executor import execute_spec
+from repro.experiments.dags import sweep_specs
+from repro.schedulers.online import dualhp as online_dualhp
+from repro.schedulers.online.dualhp import _outcome
 from repro.schedulers.online.base import RunningView, StartTask
 from repro.simulator import simulate
 
@@ -123,7 +127,7 @@ class TestEndToEnd:
 
 
 class TestFeasibility:
-    """``_feasible`` is the bisection's stand-in for ``_try(...) is not None``."""
+    """``_outcome`` is the bisection's stand-in for ``_try(...) is not None``."""
 
     PLATFORMS = (Platform(3, 2), Platform(1, 1), Platform(4, 0), Platform(0, 2))
 
@@ -157,7 +161,7 @@ class TestFeasibility:
         lams.update(np.linspace(0.1, 2.0 * max(lams) + 10.0, 50).tolist())
         for lam in sorted(lams):
             expected = policy._try(tasks, lam, cpu_init, gpu_init) is not None
-            got = _feasible(
+            got, _lo, _hi = _outcome(
                 lam,
                 [t.cpu_time for t in tasks],
                 [t.gpu_time for t in tasks],
@@ -178,6 +182,97 @@ class TestFeasibility:
         below = math.nextafter(floor, 0.0)
         heap = [(0.0, 0), (0.0, 1)]
         assert policy._try(tasks, below, [0.0, 0.0], [0.0, 0.0]) is None
-        assert not _feasible(below, [4.0, 1.0], [6.0, 1.0], floor, heap, heap)
+        assert not _outcome(below, [4.0, 1.0], [6.0, 1.0], floor, heap, heap)[0]
         assert policy._try(tasks, floor, [0.0, 0.0], [0.0, 0.0]) is not None
-        assert _feasible(floor, [4.0, 1.0], [6.0, 1.0], floor, heap, heap)
+        assert _outcome(floor, [4.0, 1.0], [6.0, 1.0], floor, heap, heap)[0]
+
+
+def _random_pool(seed: int):
+    """Tie-heavy pool in ``_try`` order, with random initial class heaps."""
+    rng = np.random.default_rng(seed)
+    platform = TestFeasibility.PLATFORMS[seed % len(TestFeasibility.PLATFORMS)]
+    n = int(rng.integers(1, 40))
+    kind = rng.integers(0, 3, size=n)
+    short = rng.choice((1.0, 2.0, 3.0), size=(2, n))
+    long = rng.choice((5.0, 8.0, 12.0), size=(2, n))
+    cpu = np.where(kind == 1, long[0], short[0]).tolist()
+    gpu = np.where(kind == 2, long[1], short[1]).tolist()
+    cpu_init = rng.choice((0.0, 0.5, 2.0, 7.0), size=platform.num_cpus).tolist()
+    gpu_init = rng.choice((0.0, 0.5, 2.0, 7.0), size=platform.num_gpus).tolist()
+    cpu_heap = sorted((load, slot) for slot, load in enumerate(cpu_init))
+    gpu_heap = sorted((load, slot) for slot, load in enumerate(gpu_init))
+    floor = max(min(p, q) for p, q in zip(cpu, gpu))
+    return rng, (cpu, gpu, floor, cpu_heap, gpu_heap)
+
+
+class TestOutcomeMemo:
+    """The verdict intervals behind the memoised bisection of ``_reassign``."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_interval_holds_its_verdict(self, seed):
+        rng, pool = _random_pool(seed)
+        cpu, gpu, floor = pool[0], pool[1], pool[2]
+        guesses = {floor, math.nextafter(floor, 0.0)}
+        for value in cpu + gpu:
+            guesses.update((value, value / 2.0, math.nextafter(value, 0.0)))
+        guesses.update(np.linspace(0.1, 2.0 * max(guesses) + 10.0, 40).tolist())
+        for lam in sorted(guesses):
+            verdict, lo, hi = _outcome(lam, *pool)
+            assert lo <= lam < hi
+            top = hi if math.isfinite(hi) else 4.0 * lam + 10.0
+            bottom = lo if math.isfinite(lo) else 0.0
+            inside = [bottom, math.nextafter(top, -math.inf)]
+            inside += rng.uniform(bottom, top, size=8).tolist()
+            for other in inside:
+                if lo <= other < hi:
+                    assert _outcome(other, *pool)[0] == verdict, (lam, other)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_memo_answers_like_the_direct_test(self, seed):
+        rng, pool = _random_pool(seed)
+        memo = online_dualhp.OutcomeMemo(lambda lam: _outcome(lam, *pool))
+        guesses = rng.uniform(0.0, 40.0, size=200).tolist()
+        for lam in guesses:
+            assert memo(lam) == _outcome(lam, *pool)[0], lam
+        assert memo.packs < len(guesses)
+
+    @pytest.mark.parametrize("kernel", ["cholesky", "qr", "lu"])
+    def test_bisection_converges_like_the_plain_one(self, kernel, monkeypatch):
+        """Every reassignment settles on the same guess with and without
+        the memo, so the payloads are equal too."""
+        specs = [
+            spec
+            for spec in sweep_specs(kernel, n_values=(4, 8))
+            if spec.algorithm.startswith("dualhp")
+        ]
+        assert len(specs) == 6
+
+        def run():
+            guesses = []
+            real_try = DualHPPolicy._try
+
+            def recording(policy, tasks, lam, cpu_init, gpu_init):
+                guesses.append(lam)
+                return real_try(policy, tasks, lam, cpu_init, gpu_init)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(DualHPPolicy, "_try", recording)
+                payloads = [execute_spec(spec) for spec in specs]
+            return guesses, payloads
+
+        memoised = run()
+
+        class Unmemoised:
+            def __init__(self, outcome):
+                self.outcome = outcome
+
+            def __call__(self, lam):
+                return self.outcome(lam)[0]
+
+        monkeypatch.setattr(online_dualhp, "OutcomeMemo", Unmemoised)
+        plain = run()
+        assert memoised[0] and memoised[0] == plain[0]
+        # json, not ==: the payloads carry NaN accelerations.
+        assert json.dumps(memoised[1], sort_keys=True) == json.dumps(
+            plain[1], sort_keys=True
+        )

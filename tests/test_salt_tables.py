@@ -278,7 +278,7 @@ class TestFailuresNeverFailARun:
         def full(src, dst):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(salts.os, "replace", full)
+        monkeypatch.setattr(os, "replace", full)
         assert ResultCache(tmp_path).key(spec()) == expected[spec()]
         assert list((tmp_path / "salts").iterdir()) == []
 
